@@ -62,7 +62,7 @@ class DimensionlessParams:
     gamma: float
 
     def __post_init__(self) -> None:
-        if not (self.alpha >= 0.0 and self.gamma >= 0.0):
+        if not (0.0 <= self.alpha < math.inf and 0.0 <= self.gamma < math.inf):
             raise ValueError(
                 f"alpha and gamma must be finite and >= 0, "
                 f"got ({self.alpha}, {self.gamma})"

@@ -38,7 +38,8 @@ gammas = st.floats(min_value=0.0, max_value=5.0)
 
 class TestParams:
     def test_validation(self):
-        for a, g in ((-0.1, 0.0), (0.0, -0.1), (math.nan, 1.0), (1.0, math.nan)):
+        for a, g in ((-0.1, 0.0), (0.0, -0.1), (math.nan, 1.0), (1.0, math.nan),
+                     (math.inf, 1.0), (1.0, math.inf)):
             with pytest.raises(ValueError):
                 DimensionlessParams(alpha=a, gamma=g)
 

@@ -6,6 +6,7 @@ so the two package routes are never judge and defendant at once.
 """
 
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import bloch_final_w_fixed_rk4
+from sechbloch import bloch_ode
 from sechbloch.analytic import DimensionlessParams, w_infinity
 from sechbloch.bloch_ode import (
     INITIAL_STATE,
@@ -51,12 +53,11 @@ class TestSechPulseModel:
         assert m.T == 1.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SechPulseModel(omega0=-1.0, T=1.0, Gamma=0.0)
-        with pytest.raises(ValueError):
-            SechPulseModel(omega0=1.0, T=0.0, Gamma=0.0)
-        with pytest.raises(ValueError):
-            SechPulseModel(omega0=1.0, T=1.0, Gamma=-0.2)
+        for args in ((-1.0, 1.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, -0.2),
+                     (math.inf, 1.0, 0.0), (1.0, math.inf, 0.0),
+                     (1.0, 1.0, math.inf), (math.nan, 1.0, 0.0)):
+            with pytest.raises(ValueError):
+                SechPulseModel(*args)
 
 
 class TestConfigAndState:
@@ -71,6 +72,10 @@ class TestConfigAndState:
             IntegratorConfig(max_steps=0)
         with pytest.raises(ValueError):
             IntegratorConfig(sample_count=1)
+        for field in ("rel_tol", "abs_tol", "window_halfwidth_L"):
+            for bad in (math.inf, math.nan):
+                with pytest.raises(ValueError):
+                    IntegratorConfig(**{field: bad})
 
     def test_state_norm(self):
         assert BlochState(0.6, 0.8, 0.0).norm_sq() == pytest.approx(1.0)
@@ -179,6 +184,89 @@ class TestIntegrate:
         m = SechPulseModel.from_dimensionless(a, g)
         assert abs(final_inversion(m)
                    - w_infinity(DimensionlessParams(a, g))) <= 1e-6
+
+
+class CountingPulse:
+    """Pulse wrapper counting its calls: one per RHS evaluation."""
+
+    def __init__(self, shape):
+        self.shape = shape
+        self.T = shape.T
+        self.evals = 0
+
+    def __call__(self, t):
+        self.evals += 1
+        return self.shape(t)
+
+
+class TestWorkCounts:
+    """Exact RHS-evaluation counts, each below the Dormand-Prince 5(4) count
+    that the DOP853 pair replaced.  A changed count means the stages, the
+    error norm or the step controller changed."""
+
+    @pytest.mark.parametrize("alpha, gamma, evals, dopri5_evals", [
+        (1.0, 0.1, 1019, 1741),
+        (3.0, 0.5, 1426, 3583),
+        (10.0, 0.1, 2371, 6841),
+        (50.0, 0.1, 7083, 29431),
+        (5.0, 20.0, 16153, 19399),
+    ])
+    def test_final_inversion(self, alpha, gamma, evals, dopri5_evals):
+        pulse = CountingPulse(SechPulseModel.from_dimensionless(alpha, gamma))
+        final_inversion(pulse)
+        assert pulse.evals == evals
+        assert pulse.evals < dopri5_evals
+
+    def test_default_trajectory(self):
+        pulse = CountingPulse(SechPulseModel.from_dimensionless(2.0, 1.0))
+        integrate(pulse)
+        assert pulse.evals == 2945
+        assert pulse.evals < 4531
+
+
+class TestTableau:
+    """DOP853 coefficients against the order conditions.  A mistyped
+    coefficient still converges under step control, only at lower order
+    and more slowly, so no accuracy test would catch it."""
+
+    @staticmethod
+    def coefficients(pattern):
+        """Module constants matching pattern, keyed by their index groups."""
+        found = {}
+        for name, value in vars(bloch_ode).items():
+            m = re.fullmatch(pattern, name)
+            if m:
+                found[tuple(int(g) for g in m.groups())] = value
+        return found
+
+    def nodes(self):
+        # c1 = 0; c12 = 1 is written as t + h in the step.
+        return {1: 0.0, 12: 1.0,
+                **{i: c for (i,), c in self.coefficients(r"_C(\d+)").items()}}
+
+    def test_row_sums_are_nodes(self):
+        rows = {}
+        for (i, _), a in self.coefficients(r"_A(\d+)_(\d+)").items():
+            rows[i] = rows.get(i, 0.0) + a
+        c = self.nodes()
+        assert sorted(rows) == list(range(2, 13))  # twelve stages
+        for i, total in rows.items():
+            assert abs(total - c[i]) <= 1e-14, i
+
+    def test_quadrature_order_eight(self):
+        b = self.coefficients(r"_B(\d+)")
+        c = self.nodes()
+        for k in range(1, 9):
+            moment = sum(bj * c[j] ** (k - 1) for (j,), bj in b.items())
+            assert abs(moment - 1.0 / k) <= 1e-14, k
+
+    def test_error_weights_sum_to_zero(self):
+        b = self.coefficients(r"_B(\d+)")
+        bhh = self.coefficients(r"_BHH(\d+)")
+        er = self.coefficients(r"_ER(\d+)")
+        assert set(bhh) <= set(b)
+        assert abs(sum(b.values()) - sum(bhh.values())) <= 1e-14  # E3 = b - bhh
+        assert abs(sum(er.values())) <= 1e-14
 
 
 class TestFailureModes:
