@@ -21,14 +21,15 @@ from .specfun import (
     Hyp2F1Params,
     cospi,
     digamma,
+    gamma_square_ratio,
     hyp2f1,
-    hyp2f1_at_unity,
     ln_gamma,
     signed_ln_gamma,
 )
 
 __all__ = [
     "EULER_GAMMA",
+    "W_INFINITY_ALPHA_MAX",
     "AsymptoticEstimate",
     "DimensionlessParams",
     "Regime",
@@ -52,6 +53,13 @@ EULER_GAMMA = 0.5772156649015329
 
 _LN_PI = math.log(math.pi)
 _LN2 = math.log(2.0)
+
+# Below nu - alpha = 12 the final inversion subtracts ln Gamma(nu + alpha)
+# from ln Gamma(alpha + 1 - nu) and takes its phase from the rounded
+# nu - alpha; both lose digits in proportion to alpha, so this bound keeps
+# the error below 1e-10 (5e-11 measured near it).  By alpha = 2^52,
+# nu - alpha has no fractional part left at all.
+W_INFINITY_ALPHA_MAX = 1e4
 
 
 @dataclass(frozen=True)
@@ -104,14 +112,24 @@ def w_coherent(alpha: float) -> float:
 def w_infinity(p: DimensionlessParams) -> float:
     """Exact final inversion -G^2(nu) / [G(nu+alpha) G(nu-alpha)], nu = 1/2 + gamma.
 
-    Evaluated in signed-log form with reciprocal-gamma handling of the
-    nu - alpha factor, so nonpositive-integer arguments give an exact zero
-    and large alpha cannot overflow.  The result is clamped to [-1, 1];
-    rounding can breach the physical range by a few ulp at the coherent
-    extremes.
+    specfun.gamma_square_ratio evaluates the gamma ratio by one of two
+    routes, switched at nu - alpha = 12: signed logs with reciprocal-gamma
+    handling of the nu - alpha factor below (nonpositive-integer arguments
+    give an exact zero, large alpha cannot overflow), and Stirling
+    expansions combined before evaluation above, which keeps strong
+    dephasing free of cancellation.  Against 50-digit arithmetic the error
+    is below 1e-13 for alpha <= 60 and gamma in {0} and [1e-3, 1e12].
+    For larger alpha the error grows as about 5e-15 * alpha, so alpha
+    beyond W_INFINITY_ALPHA_MAX = 1e4 raises ValueError.  The result is
+    clamped to [-1, 1]; rounding can breach the physical range by a few
+    ulp at the coherent extremes.
     """
-    params = Hyp2F1Params.for_inversion(p.alpha, p.gamma)
-    w = -hyp2f1_at_unity(params)
+    if p.alpha > W_INFINITY_ALPHA_MAX:
+        raise ValueError(
+            f"w_infinity requires alpha <= {W_INFINITY_ALPHA_MAX:g}, got {p.alpha}: "
+            "beyond it the error grows as about 5e-15 * alpha"
+        )
+    w = -gamma_square_ratio(0.5 + p.gamma, p.alpha)
     return min(1.0, max(-1.0, w)) + 0.0
 
 

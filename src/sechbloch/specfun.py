@@ -1,9 +1,17 @@
 """Scalar special-function kernel.
 
-Log-gamma, gamma, reciprocal gamma, digamma, Pochhammer symbols, and the
-Gauss hypergeometric function 2F1 for the parameter family (a, -a; b) that
-the closed-form inversion results need.  Everything operates on plain
-Python floats; no external dependencies.
+Log-gamma, gamma, reciprocal gamma, digamma, Pochhammer symbols, the
+Gamma-square ratio behind the final inversion, and the Gauss
+hypergeometric function 2F1 for the parameter family (a, -a; b) that the
+closed-form inversion results need.  Everything operates on plain Python
+floats; no external dependencies.
+
+ln_gamma is libm's lgamma behind a domain check; the signed and reciprocal
+forms add the reflection formula with an exactly reduced sin(pi x).
+gamma_square_ratio takes one of two routes, switched at nu - a = 12:
+signed logs below, and above it the Stirling expansions of its three
+log-gammas combined before evaluation, so strong dephasing (nu up to 1e12
+and beyond) subtracts no large logarithms.
 
 Accuracy targets are documented per function.  They are deliberately a few
 orders of magnitude tighter than the comparison tolerances used by the
@@ -21,6 +29,7 @@ __all__ = [
     "cospi",
     "digamma",
     "gamma",
+    "gamma_square_ratio",
     "hyp2f1",
     "hyp2f1_at_unity",
     "ln_gamma",
@@ -31,11 +40,11 @@ __all__ = [
     "sinpi",
 ]
 
-_LN_SQRT_2PI = 0.9189385332046727
 _LN_PI = math.log(math.pi)
 
 # Stirling series for ln Gamma: coefficients B_{2n} / (2n (2n-1)),
 # applied at arguments >= 12 where the n=8 tail is below 1e-17.
+_STIRLING_MIN = 12.0
 _STIRLING = (
     1.0 / 12.0,
     -1.0 / 360.0,
@@ -66,23 +75,18 @@ class ConvergenceError(RuntimeError):
 def ln_gamma(x: float) -> float:
     """Natural log of Gamma(x) for x > 0.
 
-    Shift-and-Stirling: the argument is raised above 12 with the recurrence
-    Gamma(x+1) = x Gamma(x), then the Stirling series applies.  Relative
-    error stays near 1e-15 on [0.5, 100].
+    libm's lgamma behind a domain check.  Against 50-digit arithmetic the
+    relative error is below about 2e-15 where |ln Gamma| > 1/2, and the
+    absolute error below about 1.2e-15 around its zeros at x = 1 and 2.
+    Arguments beyond about 2.6e305, where ln Gamma leaves the float range,
+    give +inf.
     """
     if not x > 0.0:
         raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    shift = 1.0
-    y = x
-    while y < 12.0:
-        shift *= y
-        y += 1.0
-    r = 1.0 / (y * y)
-    series = 0.0
-    for c in reversed(_STIRLING):
-        series = series * r + c
-    series /= y
-    return (y - 0.5) * math.log(y) - y + _LN_SQRT_2PI + series - math.log(shift)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
 
 
 def signed_ln_gamma(x: float) -> tuple[float, float]:
@@ -125,6 +129,54 @@ def recip_gamma(x: float) -> float:
     if sign == 0.0:
         return 0.0
     return sign * math.exp(mag)
+
+
+def _stirling_tail(y: float) -> float:
+    """ln Gamma(y) - [(y - 1/2) ln y - y + ln sqrt(2 pi)] for y >= 12."""
+    r = 1.0 / (y * y)
+    series = 0.0
+    for c in reversed(_STIRLING):
+        series = series * r + c
+    return series / y
+
+
+def gamma_square_ratio(nu: float, a: float) -> float:
+    """Gamma(nu)^2 / (Gamma(nu + a) Gamma(nu - a)) for nu > 0 and a >= 0.
+
+    Two routes, switched at nu - a = 12:
+
+    - nu - a < 12: signed logs, 2 ln_gamma(nu) - ln_gamma(nu + a) plus the
+      reciprocal-gamma log of nu - a, so the poles of Gamma(nu - a) give
+      an exact 0.0 and large a cannot overflow.
+    - nu - a >= 12: the Stirling expansions of the three log-gammas
+      combined before evaluation (DLMF 5.11.1),
+      -(nu - 1/2) log1p(-x^2) - 2 a atanh(x) + 2 S(nu) - S(nu + a) - S(nu - a)
+      with x = a / nu and S the Stirling tail.  The nu ln nu and linear
+      terms cancel exactly, so no large log-gammas are subtracted: the
+      relative error stays near 2e-14 wherever the ratio exceeds 1e-20,
+      however large nu is.
+
+    Against 50-digit arithmetic the absolute error is below 1e-13 for
+    a <= 60 and nu - 1/2 in {0} and [1e-3, 1e12]; the two routes agree to
+    about 1e-14 at the switch.
+    """
+    if nu - a < _STIRLING_MIN:
+        return _square_ratio_by_logs(nu, a)
+    return _square_ratio_by_stirling(nu, a)
+
+
+def _square_ratio_by_logs(nu: float, a: float) -> float:
+    sign, ln_recip = signed_ln_recip_gamma(nu - a)
+    if sign == 0.0:
+        return 0.0
+    return sign * math.exp(2.0 * ln_gamma(nu) - ln_gamma(nu + a) + ln_recip)
+
+
+def _square_ratio_by_stirling(nu: float, a: float) -> float:
+    x = a / nu
+    return math.exp(-(nu - 0.5) * math.log1p(-x * x) - 2.0 * a * math.atanh(x)
+                    + 2.0 * _stirling_tail(nu) - _stirling_tail(nu + a)
+                    - _stirling_tail(nu - a))
 
 
 def digamma(x: float) -> float:

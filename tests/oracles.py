@@ -1,30 +1,42 @@
 """Independent oracle implementations used by the tests.
 
 Everything here is deliberately written against different primitives than
-the package: libm's lgamma, Richardson finite differences, and a
-Kahan-compensated truncated series. Frozen high-precision constants in the
-test modules were computed once with 40-digit arithmetic and pasted in.
+the package: 50-digit mpmath for the Gamma family and the final inversion
+(the package's ln_gamma is libm's lgamma, so libm cannot check it), a
+Kahan-compensated truncated series, and a fixed-step RK4 integrator.
+Frozen high-precision constants in the test modules were computed once
+with 40-digit arithmetic and pasted in.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 
-def digamma_fd(x: float, h: float = 1e-3) -> float:
-    """Richardson-extrapolated central difference of math.lgamma.
+_MP = mpmath.mp.clone()
+_MP.dps = 50
 
-    The fourth-derivative error term blows up like x^-5 near the origin,
-    so small arguments are first shifted up with psi(x) = psi(x+1) - 1/x.
-    Residual error is ~ 1e-13, comfortably below the 1e-10 comparisons.
+
+def ln_gamma_mp(x: float) -> float:
+    """ln Gamma(x) for x > 0 at 50 digits."""
+    return float(_MP.loggamma(x))
+
+
+def digamma_mp(x: float) -> float:
+    """psi(x) for x > 0 at 50 digits."""
+    return float(_MP.digamma(x))
+
+
+def w_infinity_mp(alpha: float, gamma: float) -> float:
+    """Final inversion -G^2(nu) / [G(nu+alpha) G(nu-alpha)] at 50 digits.
+
+    nu = 1/2 + gamma is formed exactly from the float gamma; the reciprocal
+    gamma gives the exact zeros at the nodes.
     """
-    shift = 0.0
-    while x < 5.0:
-        shift -= 1.0 / x
-        x += 1.0
-    f = math.lgamma
-    fd = (8.0 * (f(x + h) - f(x - h)) - (f(x + 2 * h) - f(x - 2 * h))) / (12.0 * h)
-    return fd + shift
+    nu = _MP.mpf(0.5) + _MP.mpf(gamma)
+    a = _MP.mpf(alpha)
+    return float(-_MP.gamma(nu) ** 2 * _MP.rgamma(nu + a) * _MP.rgamma(nu - a))
 
 
 def hyp2f1_series_kahan(a: float, b: float, c: float, z: float,

@@ -1,6 +1,7 @@
 """Closed-form inversion tests.
 
-Frozen constants come from 40-digit arithmetic; the ODE route is compared
+Frozen constants come from 40-digit arithmetic and the final inversion is
+also checked against 50-digit mpmath; the ODE route is compared
 separately (test_bloch_ode, test_acceptance) to keep the two routes
 independent here.
 """
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import w_infinity_mp
 from sechbloch import analytic
 from sechbloch.analytic import (
     AsymptoticEstimate,
@@ -68,6 +70,36 @@ class TestWInfinity:
         for target, g in ((0.9, 1.0 / 38.0), (0.5, 1.0 / 6.0), (0.0, 0.5)):
             w = w_infinity(DimensionlessParams(1.0, g))
             assert abs(w - target) <= 1e-12
+
+    def test_against_mpmath(self):
+        # The strong-dephasing edge: gamma log-uniform on [10, 1e12], alpha
+        # spread over [0, 60] by the golden-ratio sequence.
+        points = [(60.0 * ((i * 0.6180339887498949) % 1.0),
+                   10.0 ** (1.0 + 11.0 * (i + 0.5) / 160)) for i in range(160)]
+        # The whole domain: alpha in [0, 60], gamma 0 or log-uniform on
+        # [1e-3, 1e12].
+        for i in range(400):
+            a = 60.0 * ((i * 0.7548776662466927) % 1.0)
+            g = 0.0 if i % 10 == 0 else 10.0 ** (-3.0 + 15.0 * ((i * 0.5698402909980532) % 1.0))
+            points.append((a, g))
+        # Both sides of the route switch at nu - alpha = 12.
+        for a in (0.0, 0.3, 5.7, 23.1, 59.9):
+            for d in (11.5, 11.999999, 12.0, 12.000001, 12.5):
+                points.append((a, a + d - 0.5))
+        worst = max((abs(w_infinity(DimensionlessParams(a, g)) - w_infinity_mp(a, g)), a, g)
+                    for a, g in points)
+        assert worst[0] <= 1e-12, worst
+
+    def test_alpha_limit(self):
+        # Beyond the limit the error grows as about 5e-15 * alpha, and by
+        # alpha = 2^52 nu - alpha has no fractional part left.
+        for a in (1.0001e4, 2.0**52, 2.0**53, 1e17, 1e300):
+            for g in (0.0, 0.3, 1e12):
+                with pytest.raises(ValueError, match="alpha <= 10000"):
+                    w_infinity(DimensionlessParams(a, g))
+        a = analytic.W_INFINITY_ALPHA_MAX
+        for g in (0.0, 1e-3, 0.3, 1e12):
+            assert abs(w_infinity(DimensionlessParams(a, g)) - w_infinity_mp(a, g)) <= 1e-10
 
     def test_no_pulse(self):
         assert w_infinity(DimensionlessParams(0.0, 0.7)) == -1.0

@@ -1,8 +1,8 @@
 """Scalar special-function kernel tests.
 
-Oracles: math.lgamma (libm), a Richardson finite difference of lgamma for
-digamma, a Kahan-compensated series for 2F1, and constants frozen from
-40-digit arithmetic.
+Oracles: 50-digit mpmath for ln Gamma, digamma and the Gamma-square ratio
+behind the final inversion, a Kahan-compensated series for 2F1, and
+constants frozen from 40-digit arithmetic.
 """
 
 import math
@@ -11,13 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import digamma_fd, hyp2f1_series_kahan
+from oracles import digamma_mp, hyp2f1_series_kahan, ln_gamma_mp, w_infinity_mp
+from sechbloch import specfun
 from sechbloch.specfun import (
     ConvergenceError,
     Hyp2F1Params,
     cospi,
     digamma,
     gamma,
+    gamma_square_ratio,
     hyp2f1,
     hyp2f1_at_unity,
     ln_gamma,
@@ -30,10 +32,17 @@ from sechbloch.specfun import (
 
 
 class TestLnGamma:
-    def test_against_libm_grid(self):
+    def test_against_mpmath_grid(self):
         for i in range(1, 1000):
             x = 0.05 * i
-            assert ln_gamma(x) == pytest.approx(math.lgamma(x), abs=1e-12, rel=1e-13)
+            assert ln_gamma(x) == pytest.approx(ln_gamma_mp(x), abs=1e-12, rel=1e-13)
+        for x in (1e-300, 1e-8, 123.456, 1e4, 1e8, 1e12, 1e100, 1e300):
+            assert ln_gamma(x) == pytest.approx(ln_gamma_mp(x), rel=1e-14)
+
+    def test_overflow_gives_inf(self):
+        # ln Gamma(x) exceeds the float range beyond x ~ 2.6e305
+        for x in (1e306, 1e308, math.inf):
+            assert ln_gamma(x) == math.inf
 
     def test_small_argument_frozen(self):
         # 40-digit arithmetic: lgamma(0.07) = 2.6227537606032154926
@@ -89,6 +98,27 @@ class TestSignedForms:
         assert abs(prod - 1.0) <= 1e-11
 
 
+class TestGammaSquareRatio:
+    @pytest.mark.parametrize("d", [12.0, 12.5, 20.0])
+    def test_routes_agree_at_switch(self, d):
+        for a in (0.0, 0.7, 3.3, 17.2, 48.9, 60.0):
+            by_logs = specfun._square_ratio_by_logs(a + d, a)
+            by_stirling = specfun._square_ratio_by_stirling(a + d, a)
+            assert abs(by_logs - by_stirling) <= 1e-13, a
+
+    def test_poles_give_exact_zero(self):
+        for nu, a in ((0.7, 2.7), (0.5, 3.5), (1.25, 4.25), (2.0, 7.0)):
+            assert gamma_square_ratio(nu, a) == 0.0
+
+    def test_strong_dephasing_relative_accuracy(self):
+        # The ratio is about exp(-a^2 / nu) there; the combined Stirling
+        # route keeps its relative digits however large nu is.
+        for nu in (1e4 + 0.5, 1e8 + 0.5, 1e12 + 0.5):
+            for a in (1.0, math.sqrt(nu), 5.0 * math.sqrt(nu)):
+                ref = -w_infinity_mp(a, nu - 0.5)
+                assert gamma_square_ratio(nu, a) == pytest.approx(ref, rel=1e-13)
+
+
 class TestDigamma:
     def test_classical_values(self):
         euler = 0.5772156649015329
@@ -106,9 +136,9 @@ class TestDigamma:
         assert digamma(23.456) == pytest.approx(3.133658381209460093, abs=1e-13)
         assert digamma(0.05) == pytest.approx(-20.497844991299870371, abs=1e-12)
 
-    def test_against_fd_oracle(self):
+    def test_against_mpmath(self):
         for x in (0.3, 0.9, 1.7, 4.2, 11.0, 33.3):
-            assert digamma(x) == pytest.approx(digamma_fd(x), abs=1e-10)
+            assert digamma(x) == pytest.approx(digamma_mp(x), abs=1e-13)
 
     def test_rejects_nonpositive(self):
         for x in (0.0, -2.0):
