@@ -18,18 +18,20 @@ import math
 from dataclasses import dataclass
 
 from .specfun import (
-    Hyp2F1Params,
+    _hyp2f1,
     cospi,
     digamma,
+    gamma_half_ratio,
     gamma_square_ratio,
-    hyp2f1,
     ln_gamma,
     signed_ln_gamma,
+    sinpi,
 )
 
 __all__ = [
     "EULER_GAMMA",
     "W_INFINITY_ALPHA_MAX",
+    "W_INFINITY_COS_FORM_GAMMA_MAX",
     "AsymptoticEstimate",
     "DimensionlessParams",
     "Regime",
@@ -60,6 +62,14 @@ _LN2 = math.log(2.0)
 # the error below 1e-10 (5e-11 measured near it).  By alpha = 2^52,
 # nu - alpha has no fractional part left at all.
 W_INFINITY_ALPHA_MAX = 1e4
+
+# The cos form adds ln Gamma values of size gamma ln gamma, so its error
+# grows as about 6e-15 * gamma (6.2e-11 measured at gamma = 1e4).
+W_INFINITY_COS_FORM_GAMMA_MAX = 1e4
+
+# Below this 1 - z, at t/T > 345, v_of_t takes the leading term of its
+# 1 - z expansion: 1 - z would soon lose relative digits as a subnormal.
+_FAR_TAIL_ZC = 1e-300
 
 
 @dataclass(frozen=True)
@@ -141,7 +151,15 @@ def w_infinity_cos_form(p: DimensionlessParams) -> float:
     Equals w_infinity away from the poles of the numerator gamma; within
     1e-9 of a nonpositive integer argument the form is rejected, since
     there the pole and the cosine zero cancel only in exact arithmetic.
+    Its log-gammas grow as gamma ln gamma, so the error grows as about
+    6e-15 * gamma, and gamma beyond W_INFINITY_COS_FORM_GAMMA_MAX = 1e4
+    raises ValueError; w_infinity has no such limit.
     """
+    if p.gamma > W_INFINITY_COS_FORM_GAMMA_MAX:
+        raise ValueError(
+            f"w_infinity_cos_form requires gamma <= {W_INFINITY_COS_FORM_GAMMA_MAX:g}, "
+            f"got {p.gamma}: beyond it the error grows as about 6e-15 * gamma"
+        )
     x = 0.5 - p.gamma + p.alpha
     rx = round(x)
     if rx <= 0 and abs(x - rx) <= 1e-9:
@@ -175,12 +193,15 @@ def w_half_integer_pulse(n: int, gamma: float) -> float:
     """Final inversion for pulse area (n + 1/2)*pi (alpha = n + 1/2), n >= 0.
 
     -[gamma G^2(1/2 + gamma) / G^2(1 + gamma)] prod_{k=1}^{n} (gamma - k) / (gamma + k)
+
+    The gamma ratio comes from specfun.gamma_half_ratio, whose Stirling
+    route above gamma = 12 keeps strong dephasing free of cancellation.
     """
     if n < 0:
         raise ValueError(f"w_half_integer_pulse requires n >= 0, got {n}")
     if gamma < 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    w = -gamma * math.exp(2.0 * (ln_gamma(0.5 + gamma) - ln_gamma(1.0 + gamma)))
+    w = -gamma * gamma_half_ratio(gamma) ** 2
     for k in range(1, n + 1):
         w *= (gamma - k) / (gamma + k)
     return w + 0.0  # normalize -0.0 at gamma = 0 or integer gamma <= n
@@ -290,22 +311,30 @@ def equal_superposition_area(n: int, gamma_t: float) -> float:
     return (2.0 * n + 1.0 + gamma_t) * math.pi / 2.0
 
 
-def _z_of(t_over_T: float) -> float:
-    """Compactified time z = (tanh(t/T) + 1) / 2, mapping the line to [0, 1]."""
-    return 0.5 * (math.tanh(t_over_T) + 1.0)
+def _z_of(t_over_T: float) -> tuple[float, float]:
+    """Compactified time z = (tanh(t/T) + 1) / 2 and its complement 1 - z.
+
+    Both come from e = exp(-2 |t/T|) without cancellation, so each keeps
+    its relative accuracy however close the other is to 1.
+    """
+    e = math.exp(-2.0 * abs(t_over_T))
+    far = 1.0 / (1.0 + e)
+    near = e * far
+    return (far, near) if t_over_T >= 0.0 else (near, far)
 
 
 def w_of_t(p: DimensionlessParams, t_over_T: float) -> float:
     """Inversion at scaled time t/T: w = -F(alpha, -alpha; 1/2 + gamma; z).
 
     z is the compactified time; z -> 0 recovers the initial state -1 and
-    z -> 1 the final inversion.  tanh saturates in floating point around
-    |t/T| = 19, beyond which the boundary values are returned exactly.
+    z -> 1 the final inversion.  The 2F1 kernel receives 1 - z as computed
+    here, not by subtraction, so the approach to the final inversion keeps
+    its digits at any |t/T|.
     """
     if not math.isfinite(t_over_T):
         raise ValueError(f"t_over_T must be finite, got {t_over_T}")
-    params = Hyp2F1Params.for_inversion(p.alpha, p.gamma)
-    return -hyp2f1(params, _z_of(t_over_T)) + 0.0
+    z, zc = _z_of(t_over_T)
+    return -_hyp2f1(p.alpha, -p.alpha, 0.5 + p.gamma, z, zc) + 0.0
 
 
 def v_of_t(p: DimensionlessParams, t_over_T: float) -> float:
@@ -316,16 +345,21 @@ def v_of_t(p: DimensionlessParams, t_over_T: float) -> float:
     with nu = 1/2 + gamma.  This is the derivative of w_of_t through the
     contiguous-function relation, with the sign fixed so that
     dw/dt = Omega(t) v(t) holds along the pulse.  The prefactor
-    sqrt(z (1 - z)) equals sech(t/T) / 2 and kills both tails.
+    sqrt(z (1 - z)) equals sech(t/T) / 2.  After the pulse v decays as
+    exp(-2 gamma t/T): for gamma < 1/2 the leading term of the 1 - z
+    expansion is sin(pi alpha) exp(-2 gamma t/T) / cos(pi gamma), which
+    is what is returned beyond t/T = 345; for gamma >= 1/2 v is there
+    below 1e-150 and 0.0 is returned.
     """
     if not math.isfinite(t_over_T):
         raise ValueError(f"t_over_T must be finite, got {t_over_T}")
     if p.alpha == 0.0:
         return 0.0
-    z = _z_of(t_over_T)
-    if z <= 0.0 or z >= 1.0:
-        return 0.0
+    z, zc = _z_of(t_over_T)
+    if zc < _FAR_TAIL_ZC:
+        if p.gamma >= 0.5:
+            return 0.0
+        return sinpi(p.alpha) * math.exp(-2.0 * p.gamma * t_over_T) / cospi(p.gamma) + 0.0
     nu = 0.5 + p.gamma
-    prefactor = 0.5 / math.cosh(t_over_T)
-    params = Hyp2F1Params(lam=p.alpha + 1.0, mu=1.0 - p.alpha, nu=nu + 1.0)
-    return (p.alpha / nu) * prefactor * hyp2f1(params, z)
+    return (p.alpha / nu) * math.sqrt(z * zc) * _hyp2f1(
+        p.alpha + 1.0, 1.0 - p.alpha, nu + 1.0, z, zc)

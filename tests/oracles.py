@@ -1,9 +1,10 @@
 """Independent oracle implementations used by the tests.
 
 Everything here is deliberately written against different primitives than
-the package: 50-digit mpmath for the Gamma family and the final inversion
-(the package's ln_gamma is libm's lgamma, so libm cannot check it), a
-Kahan-compensated truncated series, and a fixed-step RK4 integrator.
+the package: 50-digit mpmath for the Gamma family, the final inversion,
+2F1 and the time-dependent solution (the package's ln_gamma is libm's
+lgamma, so libm cannot check it), a Kahan-compensated truncated series,
+and a fixed-step RK4 integrator.
 Frozen high-precision constants in the test modules were computed once
 with 40-digit arithmetic and pasted in.
 """
@@ -37,6 +38,45 @@ def w_infinity_mp(alpha: float, gamma: float) -> float:
     nu = _MP.mpf(0.5) + _MP.mpf(gamma)
     a = _MP.mpf(alpha)
     return float(-_MP.gamma(nu) ** 2 * _MP.rgamma(nu + a) * _MP.rgamma(nu - a))
+
+
+def gamma_half_ratio_mp(x: float) -> float:
+    """Gamma(x + 1/2) / Gamma(x + 1) at 50 digits."""
+    return float(_MP.gamma(_MP.mpf(x) + 0.5) * _MP.rgamma(_MP.mpf(x) + 1))
+
+
+def hyp2f1_mp(a: float, b: float, c: float, z: float) -> float:
+    """F(a, b; c; z) at 50 digits for the float arguments as given."""
+    return float(_MP.hyp2f1(a, b, c, z, zeroprec=1000))
+
+
+def _time_context(t: float):
+    """A context at 50 digits beyond 1 - z = O(exp(-2|t|)), so z keeps them."""
+    ctx = _MP.clone()
+    ctx.dps = 50 + int(0.87 * abs(t))
+    return ctx
+
+
+def _z_mp(ctx, t: float):
+    return 1 / (1 + ctx.exp(-2 * ctx.mpf(t)))
+
+
+def w_of_t_mp(alpha: float, gamma: float, t: float) -> float:
+    """-F(alpha, -alpha; 1/2 + gamma; z(t)) at 50 digits."""
+    ctx = _time_context(t)
+    return float(-ctx.hyp2f1(alpha, -ctx.mpf(alpha), ctx.mpf(0.5) + gamma, _z_mp(ctx, t),
+                             zeroprec=4 * ctx.prec))
+
+
+def v_of_t_mp(alpha: float, gamma: float, t: float) -> float:
+    """(alpha / nu) sech(t) / 2 F(alpha + 1, 1 - alpha; nu + 1; z(t)) at 50 digits."""
+    if alpha == 0.0:
+        return 0.0
+    ctx = _time_context(t)
+    nu = ctx.mpf(0.5) + gamma
+    f = ctx.hyp2f1(ctx.mpf(alpha) + 1, 1 - ctx.mpf(alpha), nu + 1, _z_mp(ctx, t),
+                   zeroprec=4 * ctx.prec)
+    return float(alpha / nu * ctx.sech(t) / 2 * f)
 
 
 def hyp2f1_series_kahan(a: float, b: float, c: float, z: float,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import w_infinity_mp
+from oracles import v_of_t_mp, w_infinity_mp, w_of_t_mp
 from sechbloch import analytic
 from sechbloch.analytic import (
     AsymptoticEstimate,
@@ -168,6 +168,24 @@ class TestCosForm:
         p = DimensionlessParams(a, g)
         assert abs(w_infinity(p) - w_infinity_cos_form(p)) <= 1e-10
 
+    def test_against_mpmath_to_the_gamma_limit(self):
+        g_max = analytic.W_INFINITY_COS_FORM_GAMMA_MAX
+        for i in range(200):
+            a = 60.0 * ((i * 0.6180339887498949) % 1.0)
+            g = 10.0 ** (4.0 * ((i * 0.7548776662466927) % 1.0))
+            if abs(0.5 - g + a - round(0.5 - g + a)) < 1e-4:
+                continue
+            assert abs(w_infinity_cos_form(DimensionlessParams(a, g))
+                       - w_infinity_mp(a, g)) <= 1e-10, (a, g)
+        for a in (0.3, 16.9):
+            assert abs(w_infinity_cos_form(DimensionlessParams(a, g_max))
+                       - w_infinity_mp(a, g_max)) <= 1e-10
+
+    def test_gamma_limit(self):
+        for g in (1.0001e4, 1e5, 4e11):
+            with pytest.raises(ValueError, match="gamma <= 10000"):
+                w_infinity_cos_form(DimensionlessParams(10.3, g))
+
 
 class TestSpecialCasePulses:
     @settings(max_examples=200)
@@ -183,6 +201,11 @@ class TestSpecialCasePulses:
     def test_half_integer_matches_general(self, n, g):
         assert abs(w_half_integer_pulse(n, g)
                    - w_infinity(DimensionlessParams(n + 0.5, g))) <= 1e-12
+
+    def test_half_integer_strong_dephasing_against_mpmath(self):
+        for n in range(0, 9):
+            for g in (11.9, 12.0, 12.1, 1e3, 1e5, 1e8, 1e9, 4e11, 1e12):
+                assert abs(w_half_integer_pulse(n, g) - w_infinity_mp(n + 0.5, g)) <= 1e-13, (n, g)
 
     def test_pi_pulse_closed_form(self):
         for g in (0.0, 0.2, 1.0, 3.0):
@@ -384,7 +407,9 @@ class TestTimeDependent:
             assert abs(w_of_t(p, -30.0) - (-1.0)) <= 1e-10
             assert abs(w_of_t(p, 30.0) - w_infinity(p)) <= 1e-9
             assert abs(v_of_t(p, -30.0)) <= 1e-9
-            assert abs(v_of_t(p, 30.0)) <= 1e-9
+            # Without dephasing v keeps sin(pi alpha) after the pulse:
+            # 0.951... at (0.4, 0); with dephasing it decays.
+            assert abs(v_of_t(p, 30.0) - v_of_t_mp(a, g, 30.0)) <= 1e-9
 
     def test_coherent_pi_pulse_midpoint(self):
         p = DimensionlessParams(1.0, 0.0)
@@ -419,6 +444,64 @@ class TestTimeDependent:
         p = DimensionlessParams(0.0, 0.8)
         assert w_of_t(p, 0.3) == -1.0
         assert v_of_t(p, 0.3) == 0.0
+
+    # The 2F1 parameters are degenerate (c - a - b an integer) for w at
+    # these gammas and for v at gamma - 1/2 an integer: the logarithmic
+    # connection formula evaluates them beyond z = 3/4, t/T > ln(3)/2.
+    HALF_INTEGER_GAMMAS = (0.5, 1.5, 2.5, 4.5)
+    LATTICE_TIMES = (-20.0, -6.0, -1.0, 0.0, 0.3, 0.5, 0.56, 0.8, 1.5, 3.0, 7.7, 12.0,
+                     17.0, 20.0)
+
+    @pytest.mark.parametrize("g", HALF_INTEGER_GAMMAS)
+    def test_half_integer_gamma_against_mpmath(self, g):
+        for a in (0.0, 0.45, 2.36, 5.0, 7.3, 9.94):
+            p = DimensionlessParams(a, g)
+            for t in self.LATTICE_TIMES:
+                # The Gauss series below z = 3/4 still loses digits to
+                # cancellation as alpha nears 10 (2.7e-11 measured at
+                # alpha 9.94, t/T 0.5); ROADMAP item 2 keeps it open.
+                tol = 1e-12 if t > 0.5 * math.log(3.0) else 1e-10
+                assert abs(w_of_t(p, t) - w_of_t_mp(a, g, t)) <= tol, (a, t)
+                assert abs(v_of_t(p, t) - v_of_t_mp(a, g, t)) <= tol, (a, t)
+
+    @pytest.mark.parametrize("g", [0.0, 0.25, 0.5, 1.5])
+    def test_far_tails(self, g):
+        for a in (0.4, 2.7, 7.3):
+            p = DimensionlessParams(a, g)
+            for t in (19.0, 25.0, 40.0):
+                for tt in (t, -t):
+                    assert abs(w_of_t(p, tt) - w_of_t_mp(a, g, tt)) <= 1e-12, (a, tt)
+                    assert abs(v_of_t(p, tt) - v_of_t_mp(a, g, tt)) <= 1e-12, (a, tt)
+            # Beyond |t/T| = 400 every correction to the limits is below
+            # exp(-400): w -> -1 before the pulse and w_infinity after it,
+            # v -> 0 except without dephasing, where it keeps sin(pi alpha).
+            v_final = math.sin(math.pi * a) if g == 0.0 else 0.0
+            for t in (400.0, 1e4, 1e300):
+                assert w_of_t(p, -t) == -1.0
+                assert v_of_t(p, -t) == 0.0
+                assert abs(w_of_t(p, t) - w_infinity_mp(a, g)) <= 1e-12, (a, t)
+                assert abs(v_of_t(p, t) - v_final) <= 1e-12, (a, t)
+
+    def test_strong_dephasing_against_mpmath(self):
+        # From c - a - b = 16 on the direct series serves every z; the
+        # 1 - z expansions would need about (c - a - b)(1 - z) terms.
+        for g in (15.5, 20.5, 200.5, 1e4 + 0.3):
+            for a in (1.3, 7.7):
+                p = DimensionlessParams(a, g)
+                for t in (1.0, 5.0, 30.0):
+                    assert abs(w_of_t(p, t) - w_of_t_mp(a, g, t)) <= 1e-12, (a, g, t)
+                    assert abs(v_of_t(p, t) - v_of_t_mp(a, g, t)) <= 1e-12, (a, g, t)
+
+    def test_no_convergence_error_on_the_domain(self):
+        # Large alpha still loses digits to series cancellation (ROADMAP
+        # item 2), but no evaluation may fail or stall; gamma covers both
+        # degenerate families and the near-integer band.
+        for a in (0.3, 12.7, 33.1, 49.9, 50.0):
+            for g in (0.0, 0.5, 1.0, 2.5, 2.5 + 1e-9, 5.0):
+                p = DimensionlessParams(a, g)
+                for i in range(17):
+                    t = -20.0 + 2.5 * i
+                    assert math.isfinite(w_of_t(p, t)) and math.isfinite(v_of_t(p, t))
 
     def test_non_finite_time_rejected(self):
         p = DimensionlessParams(1.0, 0.1)

@@ -1,8 +1,8 @@
 """Scalar special-function kernel tests.
 
-Oracles: 50-digit mpmath for ln Gamma, digamma and the Gamma-square ratio
-behind the final inversion, a Kahan-compensated series for 2F1, and
-constants frozen from 40-digit arithmetic.
+Oracles: 50-digit mpmath for ln Gamma, digamma, the Gamma ratios and 2F1
+near z = 1, a Kahan-compensated series for 2F1, and constants frozen from
+40-digit arithmetic.
 """
 
 import math
@@ -11,14 +11,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import digamma_mp, hyp2f1_series_kahan, ln_gamma_mp, w_infinity_mp
+from oracles import (
+    digamma_mp,
+    gamma_half_ratio_mp,
+    hyp2f1_mp,
+    hyp2f1_series_kahan,
+    ln_gamma_mp,
+    w_infinity_mp,
+)
 from sechbloch import specfun
 from sechbloch.specfun import (
-    ConvergenceError,
     Hyp2F1Params,
     cospi,
     digamma,
     gamma,
+    gamma_half_ratio,
     gamma_square_ratio,
     hyp2f1,
     hyp2f1_at_unity,
@@ -119,6 +126,15 @@ class TestGammaSquareRatio:
                 assert gamma_square_ratio(nu, a) == pytest.approx(ref, rel=1e-13)
 
 
+class TestGammaHalfRatio:
+    def test_against_mpmath(self):
+        # Both routes, the switch at x = 12, and strong dephasing to 1e12.
+        xs = [10.0 ** (-3.0 + 15.0 * ((i * 0.5698402909980532) % 1.0)) for i in range(200)]
+        xs += [0.0, 0.5, 11.999999, 12.0, 12.000001, 1e5, 4e11, 1e12]
+        for x in xs:
+            assert gamma_half_ratio(x) == pytest.approx(gamma_half_ratio_mp(x), rel=1e-14), x
+
+
 class TestDigamma:
     def test_classical_values(self):
         euler = 0.5772156649015329
@@ -144,6 +160,10 @@ class TestDigamma:
         for x in (0.0, -2.0):
             with pytest.raises(ValueError):
                 digamma(x)
+
+    def test_negative_arguments_by_reflection(self):
+        for x in (-0.5, -1.3, -7.7, -2.000001, -1e-9, -30.25):
+            assert digamma(x) == pytest.approx(digamma_mp(x), rel=1e-13, abs=1e-13), x
 
     @settings(max_examples=200)
     @given(st.floats(min_value=0.25, max_value=50.0))
@@ -234,11 +254,43 @@ class TestHyp2F1:
 
     def test_documented_degenerate_gap(self):
         # Non-integer parameters whose nu - lam - mu is an exact integer
-        # force the slow direct series near z = 1; the term budget can run
-        # out. This is the documented edge of the evaluation strategy.
+        # once exhausted the direct series near z = 1; the logarithmic
+        # connection formula closes the gap.
         p = Hyp2F1Params(0.3, -0.3, 1.0)  # s = 1.0 exactly, non-terminating
-        with pytest.raises(ConvergenceError):
-            hyp2f1(p, 1.0 - 1e-10)
+        z = 1.0 - 1e-10
+        assert hyp2f1(p, z) == pytest.approx(hyp2f1_mp(0.3, -0.3, 1.0, z), rel=1e-14)
+
+    # (lam, mu) pairs for the integer-s cases; nu = lam + mu + s.
+    LOG_CASE_PAIRS = [(0.3, -0.3), (1.7, -0.45), (0.25, 0.6), (2.3, 1.1), (-1.4, 0.8)]
+
+    @pytest.mark.parametrize("s", [-1, 0, 1, 2])
+    def test_integer_s_against_mpmath(self, s):
+        for lam, mu in self.LOG_CASE_PAIRS:
+            nu = lam + mu + s
+            if nu <= 0.0 and nu == round(nu):
+                continue  # 2F1 itself is undefined there
+            for z in (0.76, 0.9, 0.99, 1.0 - 1e-5, 1.0 - 1e-9, 1.0 - 1e-13):
+                got = hyp2f1(Hyp2F1Params(lam, mu, nu), z)
+                assert got == pytest.approx(hyp2f1_mp(lam, mu, nu, z), rel=1e-12), (lam, mu, z)
+
+    def test_euler_step_to_a_terminating_series(self):
+        # s = -2; after Euler's transformation nu - lam = -1 terminates.
+        for z in (0.8, 0.99, 1.0 - 1e-9, 1.0 - 1e-13):
+            got = hyp2f1(Hyp2F1Params(1.7, 1.0, 0.7), z)
+            assert got == pytest.approx(hyp2f1_mp(1.7, 1.0, 0.7, z), rel=1e-12), z
+
+    @pytest.mark.parametrize("offset", [1e-12, -1e-12, 1e-9, 9.99e-7, -9.99e-7])
+    def test_near_integer_band(self, offset):
+        # The inversion family (a, -a; 1/2 + g) and its derivative family
+        # (a + 1, 1 - a; 3/2 + g) with s just off an integer.
+        for g in (0.5, 1.5, 2.5):
+            for a in (0.3, 2.7, 6.1, 9.9):
+                for z in (0.8, 0.99, 1.0 - 1e-7, 1.0 - 1e-15):
+                    for lam, mu, nu in ((a, -a, 0.5 + g + offset),
+                                        (a + 1.0, 1.0 - a, 1.5 + g + offset)):
+                        got = hyp2f1(Hyp2F1Params(lam, mu, nu), z)
+                        ref = hyp2f1_mp(lam, mu, nu, z)
+                        assert abs(got - ref) <= 1e-10, (lam, mu, nu, z)
 
     def test_degenerate_family_still_fine_in_series_region(self):
         p = Hyp2F1Params(0.3, -0.3, 1.0)
