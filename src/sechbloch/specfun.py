@@ -12,9 +12,10 @@ gamma_square_ratio takes one of two routes, switched at nu - a = 12:
 signed logs below, and above it the Stirling expansions of its three
 log-gammas combined before evaluation, so strong dephasing (nu up to 1e12
 and beyond) subtracts no large logarithms.  hyp2f1 sums the Gauss series
-for z <= 0.75 and beyond it expands in powers of 1 - z: the connection
-formula of DLMF 15.8.4, or its logarithmic form (DLMF 15.8.10) when
-c - a - b is an integer, so no path sums a slowly converging series.
+for z <= 0.75, and at large c - a - b wherever its terms never grow;
+otherwise it expands in powers of 1 - z: the connection formula of DLMF
+15.8.4, or its logarithmic form (DLMF 15.8.10) when c - a - b is an
+integer, so no path sums a slowly converging series.
 
 Accuracy targets are documented per function.  They are deliberately a few
 orders of magnitude tighter than the comparison tolerances used by the
@@ -73,14 +74,15 @@ _DIGAMMA = (
 
 
 # Term budget of the 2F1 power series.  Every series here runs in z <= 0.75,
-# in 1 - z < 0.25 or at c - a - b >= _DIRECT_S, so it converges long
-# before the budget.
+# in 1 - z < 0.25 or at c - a - b >= _DIRECT_S with terms that never
+# grow, so it converges long before the budget.
 _MAX_TERMS = 200_000
 
-# From this s = c - a - b on, the direct series converges in a few dozen
-# terms even at z = 1, since its terms fall as k^-(s+1); the expansions in
-# 1 - z would need about s (1 - z) terms for their second series, and the
-# logarithmic one factorials of s.
+# From this s = c - a - b on, the direct series also serves z > 0.75 when
+# its terms never grow (|a b| <= c and |a| + |b| <= c + 1): they then fall
+# as k^-(s+1) even at z = 1, so it converges in a few dozen terms and loses
+# nothing to cancellation.  The expansions in 1 - z would need about
+# s (1 - z) terms for their second series, which overflows at large s.
 _DIRECT_S = 16.0
 
 # Near-integer band of s = c - a - b, where the 1 - z transformation's two
@@ -350,7 +352,10 @@ def _transform_2f1(a: float, b: float, c: float, s: float, zc: float) -> float:
     """Linear z -> 1-z transformation, DLMF 15.8.4, in powers of zc = 1 - z.
 
     Needs s = c - a - b away from the integers: both terms grow as 1/|s - m|
-    near an integer m and cancel.
+    near an integer m and cancel.  The second term's series is taken after
+    Euler's transformation, F(c-a, c-b; 1+s; zc) = z^(1-c) F(1-b, 1-a; 1+s; zc),
+    whose terms stay small at large s where the original's grow as
+    s zc / k and overflow against an underflowing zc^s.
     """
     sign_a, ln_a = _connection_coeff(c, c - a, c - b)
     sign_b, ln_b = _connection_coeff(c, a, b)
@@ -360,8 +365,9 @@ def _transform_2f1(a: float, b: float, c: float, s: float, zc: float) -> float:
         total += sign_a * sign_s * math.exp(ln_a + ln_s) * _series_2f1(a, b, 1.0 - s, zc)
     if sign_b != 0.0:
         sign_s, ln_s = signed_ln_gamma(-s)
-        total += sign_b * sign_s * math.exp(ln_b + ln_s + s * math.log(zc)) \
-            * _series_2f1(c - a, c - b, 1.0 + s, zc)
+        total += sign_b * sign_s * math.exp(ln_b + ln_s + s * math.log(zc)
+                                            + (1.0 - c) * math.log1p(-zc)) \
+            * _series_2f1(1.0 - b, 1.0 - a, 1.0 + s, zc)
     return total
 
 
@@ -374,19 +380,19 @@ def _log_case_2f1(a: float, b: float, c: float, m: int, zc: float) -> float:
             - G(c) / (G(a) G(b)) (-zc)^m sum_k (a+m)_k (b+m)_k / (k! (k+m)!) zc^k
               [ln zc - psi(k+1) - psi(k+m+1) + psi(a+k+m) + psi(b+k+m)]
 
-    Each digamma is evaluated once and then advanced by
-    psi(x+1) = psi(x) + 1/x.  Neither a nor b may be a nonpositive integer;
-    that case terminates and never gets here.
+    The factorials (m-1)! and 1/m! go into the signed-log coefficients, so
+    any m stays in float range.  Each digamma is evaluated once and then
+    advanced by psi(x+1) = psi(x) + 1/x.  Neither a nor b may be a
+    nonpositive integer; that case terminates and never gets here.
     """
-    finite = 0.0
-    term = 1.0  # (a)_k (b)_k (-zc)^k / k!
-    for k in range(m):
-        finite += term * math.factorial(m - 1 - k)
-        term *= (a + k) * (b + k) * -zc / (k + 1)
+    finite = term = 1.0  # (a)_k (b)_k (-zc)^k (m-k-1)! / (k! (m-1)!)
+    for k in range(m - 1):
+        term *= (a + k) * (b + k) * -zc / ((k + 1) * (m - 1 - k))
+        finite += term
     ln_zc = math.log(zc)
     psi_int = digamma(1.0) + digamma(m + 1.0)  # psi(k+1) + psi(k+m+1)
     psi_ab = digamma(a + m) + digamma(b + m)    # psi(a+k+m) + psi(b+k+m)
-    term = 1.0 / math.factorial(m)  # (a+m)_k (b+m)_k zc^k / (k! (k+m)!)
+    term = 1.0  # (a+m)_k (b+m)_k zc^k m! / (k! (k+m)!)
     total = 0.0
     streak = 0
     for k in range(_MAX_TERMS):
@@ -409,10 +415,19 @@ def _log_case_2f1(a: float, b: float, c: float, m: int, zc: float) -> float:
             f"2F1 log-case series did not converge in {_MAX_TERMS} terms "
             f"(a={a}, b={b}, m={m}, zc={zc})"
         )
-    sign_f, ln_f = _connection_coeff(c, a + m, b + m)
+    result = 0.0
+    if m > 0:
+        sign_f, ln_f = _connection_coeff(c, a + m, b + m)
+        result = sign_f * math.exp(ln_f + math.lgamma(m)) * finite
     sign_l, ln_l = _connection_coeff(c, a, b)
-    return (sign_f * math.exp(ln_f) * finite
-            - sign_l * math.exp(ln_l) * (-zc) ** m * total)
+    result -= (-1.0) ** m * sign_l * math.exp(ln_l - math.lgamma(m + 1.0) + m * ln_zc) * total
+    if not math.isfinite(result):
+        # The log series grows as (m zc)^k / k! before it falls, which
+        # overflows once m zc reaches several hundred.
+        raise ConvergenceError(
+            f"2F1 log-case series overflowed (a={a}, b={b}, m={m}, zc={zc})"
+        )
+    return result
 
 
 def _hyp2f1(a: float, b: float, c: float, z: float, zc: float) -> float:
@@ -429,7 +444,7 @@ def _hyp2f1(a: float, b: float, c: float, z: float, zc: float) -> float:
     if zc == 0.0:
         return hyp2f1_at_unity(Hyp2F1Params(a, b, c))
     s = c - a - b
-    if z <= 0.75 or s >= _DIRECT_S:
+    if z <= 0.75 or (s >= _DIRECT_S and abs(a * b) <= c and abs(a) + abs(b) <= c + 1.0):
         return _series_2f1(a, b, c, z)
     m = round(s)
     d = s - m
@@ -461,9 +476,10 @@ def hyp2f1(p: Hyp2F1Params, z: float) -> float:
 
     - lam or mu a nonpositive integer: the terminating series.
     - z = 1: Gauss summation, hyp2f1_at_unity.
-    - z <= 0.75 or s >= 16: the direct series.
+    - z <= 0.75, or s >= 16 with terms that never grow
+      (|lam mu| <= nu and |lam| + |mu| <= nu + 1): the direct series.
     - s more than 1e-6 from every integer: the 1-z transformation,
-      DLMF 15.8.4.
+      DLMF 15.8.4, its second series after Euler's transformation.
     - s = m, an integer >= 0: the logarithmic connection formula,
       DLMF 15.8.10, summed in powers of 1 - z.
     - s within 1e-6 of an integer m < 0: Euler's transformation
@@ -477,8 +493,13 @@ def hyp2f1(p: Hyp2F1Params, z: float) -> float:
     inversion family (a, -a; 1/2 + g) and its derivative family
     (a + 1, 1 - a; 3/2 + g) at half-integer g and a < 10, absolute error
     at most 2e-14 on the logarithmic case and 2.2e-11 (relative to
-    max(1, |F|)) in the near-integer band.  Large |lam| and |mu| lose
-    digits to cancellation in every series here.
+    max(1, |F|)) in the near-integer band; the inversion family keeps
+    1e-12 for a up to 50 at 1/2 + g >= 16 (g in {15.5, 16, 20, 20.5}).
+    Large |lam| and |mu| still lose digits to cancellation: in the direct
+    series below z = 0.75, and at small nu in the 1 - z series while
+    |lam| sqrt(1 - z) is large.  The logarithmic series overflows, and raises
+    ConvergenceError, once s (1 - z) reaches several hundred with
+    |lam mu| > nu, as at (60.3, -60.3; 3001; 0.77).
     """
     if math.isnan(z) or z < 0.0 or z > 1.0:
         raise ValueError(f"hyp2f1 requires 0 <= z <= 1, got {z}")

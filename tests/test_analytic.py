@@ -457,10 +457,11 @@ class TestTimeDependent:
         for a in (0.0, 0.45, 2.36, 5.0, 7.3, 9.94):
             p = DimensionlessParams(a, g)
             for t in self.LATTICE_TIMES:
-                # The Gauss series below z = 3/4 still loses digits to
-                # cancellation as alpha nears 10 (2.7e-11 measured at
-                # alpha 9.94, t/T 0.5); ROADMAP item 2 keeps it open.
-                tol = 1e-12 if t > 0.5 * math.log(3.0) else 1e-10
+                # The Gauss series below z = 3/4 (t/T <= ln(3)/2) still
+                # loses digits to cancellation as alpha nears 10: 2.7e-11
+                # measured at alpha 9.94, t/T 0.5, against 1.0e-13 at
+                # alpha 7.3.  ROADMAP item 2 keeps it open.
+                tol = 1e-10 if a == 9.94 and t <= 0.5 * math.log(3.0) else 1e-12
                 assert abs(w_of_t(p, t) - w_of_t_mp(a, g, t)) <= tol, (a, t)
                 assert abs(v_of_t(p, t) - v_of_t_mp(a, g, t)) <= tol, (a, t)
 
@@ -483,14 +484,29 @@ class TestTimeDependent:
                 assert abs(v_of_t(p, t) - v_final) <= 1e-12, (a, t)
 
     def test_strong_dephasing_against_mpmath(self):
-        # From c - a - b = 16 on the direct series serves every z; the
-        # 1 - z expansions would need about (c - a - b)(1 - z) terms.
-        for g in (15.5, 20.5, 200.5, 1e4 + 0.3):
-            for a in (1.3, 7.7):
+        # From c - a - b = 16 on, the direct series serves z > 3/4 while
+        # its terms never grow (alpha^2 <= 1/2 + gamma for w): at 1.3 and
+        # 7.7 here.  At 20.3 and beyond the 1 - z expansions take over,
+        # the logarithmic one at half-integer gamma.
+        for g in (15.5, 16.0, 20.0, 20.5, 200.5, 1e4 + 0.3):
+            for a in (1.3, 7.7, 20.3, 30.3, 49.3):
                 p = DimensionlessParams(a, g)
-                for t in (1.0, 5.0, 30.0):
+                for t in (1.0, 1.5, 5.0, 30.0):
                     assert abs(w_of_t(p, t) - w_of_t_mp(a, g, t)) <= 1e-12, (a, g, t)
                     assert abs(v_of_t(p, t) - v_of_t_mp(a, g, t)) <= 1e-12, (a, g, t)
+
+    def test_direct_series_switch_at_large_alpha(self):
+        # Either side of alpha^2 = 1/2 + gamma at gamma 20 and 20.5 (the
+        # 1 - z transformation and the logarithmic case above it), and at
+        # gamma 2400.5, where the logarithmic case has about 2400 finite
+        # terms, and 1e4 + 0.3, where the transformation's second series
+        # would overflow without Euler's transformation.
+        for a, g in ((4.5, 20.0), (4.6, 20.0), (4.5, 20.5), (4.6, 20.5),
+                     (49.3, 2400.5), (48.9, 2400.5), (200.3, 1e4 + 0.3)):
+            p = DimensionlessParams(a, g)
+            for t in (0.56, 1.0, 5.0):
+                assert abs(w_of_t(p, t) - w_of_t_mp(a, g, t)) <= 1e-12, (a, g, t)
+                assert abs(v_of_t(p, t) - v_of_t_mp(a, g, t)) <= 1e-12, (a, g, t)
 
     def test_no_convergence_error_on_the_domain(self):
         # Large alpha still loses digits to series cancellation (ROADMAP

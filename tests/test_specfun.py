@@ -292,6 +292,34 @@ class TestHyp2F1:
                         ref = hyp2f1_mp(lam, mu, nu, z)
                         assert abs(got - ref) <= 1e-10, (lam, mu, nu, z)
 
+    def test_large_s_against_mpmath(self):
+        # From s = 16 on, the direct series serves z > 3/4 only while its
+        # terms never grow (|lam mu| <= nu, |lam| + |mu| <= nu + 1); just
+        # past that, the 1 - z transformation, or at integer s the
+        # logarithmic case, must agree with it.
+        for lam, mu in ((4.5, -4.5), (4.6, -4.6), (3.9, 2.2), (4.3, 3.3), (30.3, -30.3)):
+            for s in (16.0, 16.3, 20.0, 21.5 + 1e-9):
+                nu = lam + mu + s
+                for z in (0.8, 0.99, 1.0 - 1e-7, 1.0 - 1e-15):
+                    got = hyp2f1(Hyp2F1Params(lam, mu, nu), z)
+                    assert got == pytest.approx(hyp2f1_mp(lam, mu, nu, z), rel=1e-12,
+                                                abs=1e-12), (lam, mu, s, z)
+
+    def test_huge_s(self):
+        # s about 1e6: the 1 - z transformation's second series would
+        # overflow against an underflowing (1 - z)^s; the direct series
+        # converges at once.
+        lam, mu, nu = 1.3, -1.3, 1e6 + 0.8
+        for z in (0.8, 0.88, 1.0 - 1e-9):
+            ref = hyp2f1_series_kahan(lam, mu, nu, z)
+            assert hyp2f1(Hyp2F1Params(lam, mu, nu), z) == pytest.approx(ref, rel=1e-15), z
+
+    def test_log_case_overflow_is_typed(self):
+        # s = 10001 with |lam mu| > nu: the logarithmic series grows as
+        # (s (1 - z))^k / k! and overflows; that is reported, not a nan.
+        with pytest.raises(specfun.ConvergenceError, match="overflowed"):
+            hyp2f1(Hyp2F1Params(200.3, -200.3, 10001.0), 0.88)
+
     def test_degenerate_family_still_fine_in_series_region(self):
         p = Hyp2F1Params(0.3, -0.3, 1.0)
         ref = hyp2f1_series_kahan(0.3, -0.3, 1.0, 0.7)
