@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .specfun import (
@@ -55,6 +56,8 @@ EULER_GAMMA = 0.5772156649015329
 
 _LN_PI = math.log(math.pi)
 _LN2 = math.log(2.0)
+# math.exp(x) stays finite for every x <= _LN_FLOAT_MAX.
+_LN_FLOAT_MAX = math.log(sys.float_info.max)
 
 # Below nu - alpha = 12 the final inversion subtracts ln Gamma(nu + alpha)
 # from ln Gamma(alpha + 1 - nu) and takes its phase from the rounded
@@ -266,16 +269,23 @@ def w_large_area(p: DimensionlessParams) -> AsymptoticEstimate:
     -(1/pi) G^2(1/2 + gamma) alpha^(-2 gamma) cos pi(alpha - gamma)
 
     The envelope decays as alpha^(-2 gamma), so on a log-log plot of
-    extremum amplitude versus alpha the slope is -2 gamma.
+    extremum amplitude versus alpha the slope is -2 gamma.  Where the
+    envelope exceeds the float range, as beyond gamma = 98.7 at alpha = 1,
+    ValueError is raised; the hint 1/alpha^2 is inf below alpha = 1e-154.
     """
     if p.alpha <= 0.0:
         raise ValueError(f"large-area form needs alpha > 0, got {p.alpha}")
     nu = 0.5 + p.gamma
-    envelope = math.exp(2.0 * ln_gamma(nu) - _LN_PI
-                        - 2.0 * p.gamma * math.log(p.alpha))
-    value = -envelope * cospi(p.alpha - p.gamma) + 0.0
+    ln_envelope = 2.0 * ln_gamma(nu) - _LN_PI - 2.0 * p.gamma * math.log(p.alpha)
+    if not ln_envelope < _LN_FLOAT_MAX:
+        raise ValueError(
+            f"large-area envelope at alpha={p.alpha}, gamma={p.gamma} exceeds the "
+            f"float range: ln = {ln_envelope}"
+        )
+    value = -math.exp(ln_envelope) * cospi(p.alpha - p.gamma) + 0.0
+    inv_alpha = 1.0 / p.alpha
     return AsymptoticEstimate(value=value, regime=Regime.LARGE_AREA,
-                              validity_hint=1.0 / (p.alpha * p.alpha))
+                              validity_hint=inv_alpha * inv_alpha)
 
 
 def area_epsilon(epsilon: float, gamma_t: float) -> float:
@@ -284,7 +294,10 @@ def area_epsilon(epsilon: float, gamma_t: float) -> float:
     A_eps = pi [pi epsilon / G^2(1/2 + g)]^(-1/(2g)) with g = gamma_t / 2,
     in radians.  gamma_t is the width-dephasing product Gamma*T, matching
     the figure-axis convention used everywhere a caller sees Gamma*T.
-    Diverges as gamma_t -> 0: an undamped envelope never decays.
+    Diverges as gamma_t -> 0: an undamped envelope never decays.  Where
+    A_eps exceeds the float range, as at (0.1, 1e-3) or (1e-300, 0.5),
+    ValueError is raised.  So it is beyond gamma_t = 5.1e305, where
+    ln G(1/2 + g) itself overflows, though A_eps, about pi g / e, would not.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -295,7 +308,13 @@ def area_epsilon(epsilon: float, gamma_t: float) -> float:
         )
     g = 0.5 * gamma_t
     ln_ratio = math.log(math.pi * epsilon) - 2.0 * ln_gamma(0.5 + g)
-    return math.pi * math.exp(-0.5 * ln_ratio / g)
+    ln_area_over_pi = -0.5 * ln_ratio / g
+    if not ln_area_over_pi < _LN_FLOAT_MAX - _LN_PI:
+        raise ValueError(
+            f"area_epsilon({epsilon}, {gamma_t}) exceeds the float range: "
+            f"ln(A / pi) = {ln_area_over_pi}"
+        )
+    return math.pi * math.exp(ln_area_over_pi)
 
 
 def equal_superposition_area(n: int, gamma_t: float) -> float:

@@ -160,12 +160,13 @@ def _cmd_winf(ns: argparse.Namespace) -> int:
     p = DimensionlessParams(alpha=alpha, gamma=0.5 * gamma_t)
     weak = analytic.w_weak_dephasing(p)
     strong = analytic.w_strong_dephasing(p)
-    if alpha > 0.0:
+    large_value: float | None = None
+    large_hint: float | None = None
+    try:
         large = analytic.w_large_area(p)
-        large_value: float | None = large.value
-        large_hint: float | None = large.validity_hint
-    else:
-        large_value = large_hint = None  # alpha^(-2 gamma) form undefined at alpha = 0
+        large_value, large_hint = large.value, large.validity_hint
+    except ValueError:
+        pass  # alpha = 0, where alpha^(-2 gamma) is undefined, or beyond float range
 
     header = ["alpha", "GammaT", "w_exact",
               "w_weak_dephasing", "weak_dephasing_hint",

@@ -499,11 +499,18 @@ def hyp2f1(p: Hyp2F1Params, z: float) -> float:
     series below z = 0.75, and at small nu in the 1 - z series while
     |lam| sqrt(1 - z) is large.  The logarithmic series overflows, and raises
     ConvergenceError, once s (1 - z) reaches several hundred with
-    |lam mu| > nu, as at (60.3, -60.3; 3001; 0.77).
+    |lam mu| > nu, as at (60.3, -60.3; 3001; 0.77).  Where a factor
+    (1 - z)^s leaves the float range, as at (0.3, 20.7; 0.5; 1 - 2.3e-16),
+    ValueError is raised.
     """
     if math.isnan(z) or z < 0.0 or z > 1.0:
         raise ValueError(f"hyp2f1 requires 0 <= z <= 1, got {z}")
-    return _hyp2f1(p.lam, p.mu, p.nu, z, 1.0 - z)
+    try:
+        return _hyp2f1(p.lam, p.mu, p.nu, z, 1.0 - z)
+    except OverflowError as exc:
+        raise ValueError(
+            f"hyp2f1({p.lam}, {p.mu}; {p.nu}; {z}) leaves the float range"
+        ) from exc
 
 
 def hyp2f1_at_unity(p: Hyp2F1Params) -> float:

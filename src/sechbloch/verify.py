@@ -126,15 +126,24 @@ def _check_form_equivalence() -> CheckResult:
 
 
 def _check_shifted_nodes() -> CheckResult:
+    # find_node returns n + 1/2 + gamma by construction; what can fail is
+    # the inversion itself, which must vanish there and change sign across
+    # the node.  A missing sign change counts as an infinite miss.
     worst = 0.0
     worst_at = ""
     for g in (0.0, 0.1, 0.5, 1.0):
         for n in range(0, 6):
-            root = sweep.find_node(n, g)
-            d = abs(root.alpha_root - (n + 0.5 + g))
+            a = sweep.find_node(n, g).alpha_root
+            d = abs(analytic.w_infinity(DimensionlessParams(alpha=a, gamma=g)))
+            below = analytic.w_infinity(DimensionlessParams(alpha=a - 0.25, gamma=g))
+            above = analytic.w_infinity(DimensionlessParams(alpha=a + 0.25, gamma=g))
+            if not below * above < 0.0:
+                d = math.inf
             if d > worst:
                 worst, worst_at = d, f"n={n}, gamma={g}"
-    return _result("shifted_nodes", worst, 1e-9, f"worst at {worst_at}")
+    return _result("shifted_nodes", worst, 1e-9,
+                   f"|w| at n + 1/2 + gamma and a sign change across it; "
+                   f"worst at {worst_at or 'none'}")
 
 
 def _check_extremum_slopes() -> CheckResult:

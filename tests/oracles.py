@@ -40,6 +40,49 @@ def w_infinity_mp(alpha: float, gamma: float) -> float:
     return float(-_MP.gamma(nu) ** 2 * _MP.rgamma(nu + a) * _MP.rgamma(nu - a))
 
 
+def trigamma_mp(x: float) -> float:
+    """psi'(x) for x > 0 at 50 digits."""
+    return float(_MP.psi(1, x))
+
+
+def extremum_mp(n: int, gamma: float) -> float:
+    """nth stationary point of the final inversion in alpha, at 50 digits.
+
+    f(a) = psi(nu + a) - psi(nu - a), nu = 1/2 + gamma, the logarithmic
+    derivative of -w with its sign flipped, rises monotonically from -inf
+    to +inf across (n - 1/2 + gamma, n + 1/2 + gamma).  Newton's method
+    runs inside that bracket and bisects whenever a step would leave it.
+    Each root is then confirmed by the derivative of w itself, taken by
+    numerical differentiation of the Gamma expression, which must change
+    sign across it.
+    """
+    nu = _MP.mpf(0.5) + _MP.mpf(gamma)
+    lo = n - _MP.mpf(0.5) + _MP.mpf(gamma)
+    hi = lo + 1
+    tol = _MP.mpf(10) ** -45 * hi
+    a = (lo + hi) / 2
+    for _ in range(400):
+        f = _MP.digamma(nu + a) - _MP.digamma(nu - a)
+        step = f / (_MP.psi(1, nu + a) + _MP.psi(1, nu - a))
+        if abs(step) < tol:
+            a -= step
+            break
+        lo, hi = (a, hi) if f < 0 else (lo, a)
+        a -= step
+        if not lo < a < hi:
+            a = (lo + hi) / 2
+    else:
+        raise RuntimeError(f"extremum oracle did not converge (n={n}, gamma={gamma})")
+
+    def w(x):
+        return -_MP.gamma(nu) ** 2 * _MP.rgamma(nu + x) * _MP.rgamma(nu - x)
+
+    h = _MP.mpf(10) ** -20 * a
+    if not _MP.diff(w, a - h) * _MP.diff(w, a + h) < 0:
+        raise RuntimeError(f"dw/dalpha keeps its sign across {a} (n={n}, gamma={gamma})")
+    return float(a)
+
+
 def gamma_half_ratio_mp(x: float) -> float:
     """Gamma(x + 1/2) / Gamma(x + 1) at 50 digits."""
     return float(_MP.gamma(_MP.mpf(x) + 0.5) * _MP.rgamma(_MP.mpf(x) + 1))

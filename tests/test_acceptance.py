@@ -130,11 +130,14 @@ def test_c05_shifted_nodes():
     for n in range(6):
         for g in (0.0, 0.1, 0.5, 1.0):
             root = find_node(n, g).alpha_root
-            worst = max(worst, abs(root - (n + 0.5 + g)))
+            below = w_infinity(DimensionlessParams(alpha=root - 0.25, gamma=g))
+            above = w_infinity(DimensionlessParams(alpha=root + 0.25, gamma=g))
+            miss = abs(w_infinity(DimensionlessParams(alpha=root, gamma=g)))
+            worst = max(worst, miss if below * above < 0.0 else math.inf)
     ok = worst <= 1e-9
     line = report("C05", ok,
-                  f"node locations vs n + 1/2 + gamma, n = 0..5: max offset "
-                  f"{worst:.2e} (tol 1e-9)")
+                  f"|w| at the nodes n + 1/2 + gamma, n = 0..5, each with a sign "
+                  f"change across it: max {worst:.2e} (tol 1e-9)")
     assert ok, line
 
 

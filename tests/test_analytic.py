@@ -359,6 +359,18 @@ class TestLargeArea:
         with pytest.raises(ValueError):
             w_large_area(DimensionlessParams(0.0, 0.5))
 
+    def test_envelope_beyond_float_range_rejected(self):
+        # ln of the envelope exceeds 709.8: typed, not OverflowError.
+        for a, g in ((1.0, 100.0), (1e-300, 1e3), (1.0, 1e300)):
+            with pytest.raises(ValueError, match="float range"):
+                w_large_area(DimensionlessParams(a, g))
+
+    def test_tiny_alpha_hint_is_inf(self):
+        # 1 / alpha^2 exceeds the float range; alpha * alpha underflowed
+        # to 0 and raised ZeroDivisionError before.
+        for a in (1e-170, 1e-300, 5e-324):
+            assert w_large_area(DimensionlessParams(a, 0.1)).validity_hint == math.inf
+
 
 class TestAreaEpsilon:
     def test_quoted_thresholds(self):
@@ -375,6 +387,14 @@ class TestAreaEpsilon:
         for eps, gt in ((0.0, 1.0), (1.0, 1.0), (-0.1, 1.0), (0.1, 0.0),
                         (0.1, -2.0)):
             with pytest.raises(ValueError):
+                area_epsilon(eps, gt)
+
+    def test_beyond_float_range_rejected(self):
+        # The first two thresholds exceed 1.8e308; at GammaT = 1e306 the
+        # threshold itself (about 5.8e305) would fit, but ln Gamma(1/2 + g)
+        # does not, and inf was returned silently before.
+        for eps, gt in ((0.1, 1e-3), (1e-300, 0.5), (0.5, 1e306)):
+            with pytest.raises(ValueError, match="float range"):
                 area_epsilon(eps, gt)
 
     def test_monotone_in_epsilon(self):

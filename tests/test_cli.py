@@ -59,6 +59,15 @@ class TestWinf:
         assert record["w_large_area"] is None
         assert record["large_area_hint"] is None
 
+    def test_large_area_empty_beyond_float_range(self, capsys):
+        # The large-area envelope exceeds 1.8e308 here; the other cells
+        # are still printed.
+        rc, out, _ = run_cli(capsys, "winf", "--alpha", "1", "--gammaT", "200")
+        assert rc == 0
+        row = list(csv.DictReader(io.StringIO(out)))[0]
+        assert row["w_large_area"] == "" and row["large_area_hint"] == ""
+        assert float(row["w_exact"]) == pytest.approx(-199.0 / 201.0, abs=1e-12)
+
     def test_precision_17_round_trips(self, capsys):
         rc, out, _ = run_cli(capsys, "winf", "--alpha", "0.777",
                              "--gammaT", "0.246", "--precision", "17")

@@ -320,6 +320,13 @@ class TestHyp2F1:
         with pytest.raises(specfun.ConvergenceError, match="overflowed"):
             hyp2f1(Hyp2F1Params(200.3, -200.3, 10001.0), 0.88)
 
+    def test_float_range_overflow_is_typed(self):
+        # s = -20.5 and -21: (1 - z)^s leaves the float range at
+        # z = 1 - 2.3e-16, in the transform and in the Euler step.
+        for lam, mu, nu in ((0.3, 20.7, 0.5), (0.3, 21.7, 1.0)):
+            with pytest.raises(ValueError, match="float range"):
+                hyp2f1(Hyp2F1Params(lam, mu, nu), 1.0 - 2.3e-16)
+
     def test_degenerate_family_still_fine_in_series_region(self):
         p = Hyp2F1Params(0.3, -0.3, 1.0)
         ref = hyp2f1_series_kahan(0.3, -0.3, 1.0, 0.7)

@@ -1,11 +1,18 @@
 """Sweep, root-finding, and figure-dataset tests."""
 
 import math
+import os
+import subprocess
+import sys
+from itertools import count
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import extremum_mp, trigamma_mp
+from sechbloch import sweep
 from sechbloch.analytic import DimensionlessParams, w_infinity
 from sechbloch.bloch_ode import IntegratorConfig
 from sechbloch.sweep import (
@@ -22,6 +29,9 @@ from sechbloch.sweep import (
     find_node,
     run_sweep,
 )
+from sechbloch.specfun import ConvergenceError
+
+_REPO = Path(__file__).resolve().parents[1]
 
 
 class TestSweepSpec:
@@ -139,11 +149,36 @@ class TestFindExtremum:
         assert find_extremum(2, 0.05).alpha_root == pytest.approx(2.05,
                                                                   abs=5e-3)
 
+    @pytest.mark.parametrize("n", (1, 2, 3, 5, 8, 12, 20, 40, 60, 1000))
+    def test_against_mpmath(self, n):
+        for g in (0.0, 0.01, 0.5, 1.0, 2.0, 3.0, 20.0, 100.0):
+            root = find_extremum(n, g).alpha_root
+            ref = extremum_mp(n, g)
+            assert abs(root - ref) <= 1e-13 * max(1.0, ref), (n, g, root, ref)
+
+    def test_first_order_shift(self):
+        # The small-gamma limit of the fixed point: the root sits
+        # 2 gamma psi'(n + 1/2) / pi^2 below n + gamma, up to O(gamma^2).
+        for n in (1, 2, 5, 20):
+            for g in (1e-3, 1e-4, 1e-5):
+                shift = find_extremum(n, g).alpha_root - (n + g)
+                first = -2.0 * g * trigamma_mp(n + 0.5) / math.pi ** 2
+                assert abs(shift / first - 1.0) <= 2.0 * g, (n, g, shift, first)
+
     def test_result_contract(self):
         r = find_extremum(3, 0.4)
         lo, hi = r.bracket
         assert lo < r.alpha_root < hi
-        assert abs(r.residual) <= 1e-6  # finite-difference derivative
+        assert abs(r.residual) <= 1e-6  # d ln|w| / d alpha at the root
+
+    def test_unsettled_map_raises(self, monkeypatch):
+        # A digamma whose differences alternate between 10 and 0 makes the
+        # map hop between two shifts forever; the step cap must stop it.
+        calls = count()
+        monkeypatch.setattr(sweep, "digamma",
+                            lambda x: 10.0 if next(calls) % 4 == 0 else 0.0)
+        with pytest.raises(ConvergenceError):
+            find_extremum(2, 0.3)
 
     def test_is_a_local_extremum(self):
         for n, g in ((1, 0.25), (2, 0.7), (4, 1.2)):
@@ -211,3 +246,17 @@ class TestFigureDatasets:
         assert len(rows) == 31
         _, rows = figure2_dataset(points=11)
         assert len(rows) == 11
+
+
+def test_reproduce_figures_script(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(_REPO / "scripts" / "reproduce_figures.py"),
+         "--outdir", str(tmp_path), "--points", "11"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(_REPO / "src")})
+    assert proc.returncode == 0, proc.stderr
+    for name in ("fig1.csv", "fig2.csv"):
+        assert len((tmp_path / name).read_text().splitlines()) == 12
+    # GammaT = 1 puts the nth node at n + 1 exactly.
+    assert "  1     2.000000" in proc.stdout
+    assert "A_0.1 = 3.18" in proc.stdout

@@ -44,6 +44,14 @@ class TestTamperSensitivity:
         results = run_checks("fast")
         assert any(not r.passed for r in results)
 
+    def test_phase_shift_moves_the_nodes(self, monkeypatch):
+        original = analytic.w_infinity
+        monkeypatch.setattr(
+            analytic, "w_infinity",
+            lambda p: original(analytic.DimensionlessParams(p.alpha + 1e-3, p.gamma)))
+        failed = {r.name for r in run_checks("fast") if not r.passed}
+        assert "shifted_nodes" in failed
+
     def test_raising_implementation_is_reported_not_fatal(self, monkeypatch):
         def boom(p):
             raise RuntimeError("tampered")
